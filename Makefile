@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench vet fmt clean
+.PHONY: all build test test-race race bench experiments experiments-full examples soak-compare trace-demo fsck-demo overload-demo cache-demo cluster-demo fleet-obs-demo ec-demo cache-bench perf vet fmt clean
 
 all: build test
 
@@ -120,6 +120,13 @@ cache-demo:
 # grows with core count; a single-core machine shows parity.
 cache-bench:
 	$(GO) test -run '^$$' -bench 'GetParallel|InsertParallel' -cpu 8 ./internal/cachengine/
+
+# The repo's benchmark (perfbench/, its own Go module): one 40-second
+# untraced run of each workload, printing the end-to-end metrics. Builds
+# into .bench_build/.
+perf:
+	bash perfbench/run.sh --workload lookup-cold --seed 1 --seconds 40 --trace 0
+	bash perfbench/run.sh --workload emu-fig8 --seed 1 --seconds 40 --trace 0
 
 examples:
 	$(GO) run ./examples/quickstart

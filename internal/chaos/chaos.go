@@ -330,9 +330,6 @@ type Net struct {
 
 var _ netsim.Net = (*Net)(nil)
 
-// Inner returns the wrapped network.
-func (n *Net) Inner() netsim.Net { return n.inner }
-
 // Invoke applies the schedule to one message, then delivers it through
 // the wrapped network. A dropped request or reply surfaces as
 // netsim.ErrTimeout (wrapped) — at the sender a lost message IS a

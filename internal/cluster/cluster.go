@@ -33,8 +33,6 @@ type Config struct {
 	K int
 	// Capacity is each node's advertised capacity (default "64MB").
 	Capacity string
-	// Store is the storage backend (default "log"; fsck support needs log).
-	Store string
 	// Dir is the base directory for per-node data dirs and captured
 	// logs. Empty: a fresh temp directory (see Dir()).
 	Dir string
@@ -74,9 +72,6 @@ func (c *Config) withDefaults() error {
 	}
 	if c.Capacity == "" {
 		c.Capacity = "64MB"
-	}
-	if c.Store == "" {
-		c.Store = "log"
 	}
 	if c.Keepalive <= 0 {
 		c.Keepalive = 500 * time.Millisecond
@@ -192,7 +187,6 @@ func (c *Cluster) daemonArgs(p *Proc, joinAddr string) []string {
 		"-addr", p.Addr,
 		"-debug-addr", p.DebugAddr,
 		"-data", p.DataDir,
-		"-store", c.cfg.Store,
 		"-capacity", c.cfg.Capacity,
 		"-k", strconv.Itoa(c.cfg.K),
 		"-seed", strconv.FormatInt(p.Seed, 10),
@@ -320,14 +314,11 @@ func (c *Cluster) Restart(i int) error {
 }
 
 // Fsck runs the offline store checker on node i's data directory. The
-// process must be down; the store must be the log backend.
+// process must be down.
 func (c *Cluster) Fsck(i int) error {
 	p := c.Procs[i]
 	if p.alive() {
 		return fmt.Errorf("cluster: node %d is running; fsck needs the store closed", i)
-	}
-	if c.cfg.Store != "log" {
-		return fmt.Errorf("cluster: fsck supports -store=log only (have %q)", c.cfg.Store)
 	}
 	rep, err := logstore.Fsck(p.DataDir)
 	if err != nil {

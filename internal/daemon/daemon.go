@@ -66,7 +66,7 @@ func Run(args []string) int {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:7001", "listen address (host:port; must be reachable by peers)")
 		capacity  = fs.String("capacity", "64MB", "advertised storage capacity (e.g. 512KB, 64MB, 2GB)")
-		dataDir   = fs.String("data", "", "data directory for persistent storage (empty: in-memory)")
+		dataDir   = fs.String("data", "", "data directory for the log-structured store (empty: in-memory)")
 		join      = fs.String("join", "", "address of an existing node to join via (empty: bootstrap a new network)")
 		x         = fs.Float64("x", math.NaN(), "proximity-plane x coordinate (default random)")
 		y         = fs.Float64("y", math.NaN(), "proximity-plane y coordinate (default random)")
@@ -79,7 +79,6 @@ func Run(args []string) int {
 		joinRetries = fs.Int("join-retries", 10, "bounded retries when the -join bootstrap node is not up yet (0: single attempt)")
 		joinBackoff = fs.Duration("join-backoff", 100*time.Millisecond, "initial backoff between join attempts (doubles, capped at 2s)")
 
-		storeKind  = fs.String("store", "", "storage backend: mem, disk, or log (empty: disk when -data is set, else mem)")
 		syncPolicy = fs.String("sync", "always", "log store durability: always (group commit), interval, or never")
 		syncEvery  = fs.Duration("sync-every", 100*time.Millisecond, "log store: fsync period for -sync=interval")
 		segBytes   = fs.String("segment-bytes", "64MB", "log store: target segment size before rotation")
@@ -119,6 +118,16 @@ func Run(args []string) int {
 	if err != nil {
 		log.Printf("pastd: %v", err)
 		return 1
+	}
+
+	// A meta.gob snapshot is the layout of the snapshot-per-mutation
+	// disk store that the log store replaced; opening it as a log store
+	// would silently start the node empty.
+	if *dataDir != "" {
+		if _, err := os.Stat(filepath.Join(*dataDir, "meta.gob")); err == nil {
+			log.Printf("pastd: %s holds meta.gob, the old snapshot-per-mutation disk store layout, which pastd no longer reads; use an empty -data directory", *dataDir)
+			return 1
+		}
 	}
 
 	var nid id.Node
@@ -224,34 +233,10 @@ func Run(args []string) int {
 		}
 	}
 
-	kind := *storeKind
-	if kind == "" {
-		if *dataDir != "" {
-			kind = "disk"
-		} else {
-			kind = "mem"
-		}
-	}
 	var backend store.Backend
-	switch kind {
-	case "mem":
+	if *dataDir == "" {
 		backend = store.New(capBytes)
-	case "disk":
-		if *dataDir == "" {
-			log.Printf("pastd: -store=disk requires -data")
-			return 1
-		}
-		backend, err = store.OpenDisk(*dataDir, capBytes)
-		if err != nil {
-			log.Printf("pastd: %v", err)
-			return 1
-		}
-		log.Printf("pastd: persistent storage at %s (%d replicas on disk)", *dataDir, backend.Len())
-	case "log":
-		if *dataDir == "" {
-			log.Printf("pastd: -store=log requires -data")
-			return 1
-		}
+	} else {
 		policy, err := logstore.ParseSyncPolicy(*syncPolicy)
 		if err != nil {
 			log.Printf("pastd: %v", err)
@@ -288,9 +273,6 @@ func Run(args []string) int {
 			*dataDir, ls.Len(), st.RecoveredRecords.Load(),
 			time.Duration(st.RecoveryNanos.Load()), st.TornTruncations.Load(), policy)
 		backend = ls
-	default:
-		log.Printf("pastd: unknown -store %q (want mem, disk, or log)", kind)
-		return 1
 	}
 	node, err := past.NewWithStoreEngine(nid, tr, cfg, backend, int64(nid[0])<<8|int64(nid[1]))
 	if err != nil {

@@ -1,13 +1,17 @@
 package daemon
 
 import (
+	"encoding/gob"
 	"io"
 	mrand "math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"past/internal/id"
 	"past/internal/obs"
@@ -43,6 +47,36 @@ func TestParseSize(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Fatalf("parseSize(%q) succeeded; want error", c.in)
 		}
+	}
+}
+
+// TestRunRefusesOldDiskLayout: a -data directory holding meta.gob, the
+// snapshot the old disk store wrote, must stop pastd with exit 1 rather
+// than open as an empty log store. -store is no longer a flag.
+func TestRunRefusesOldDiskLayout(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "meta.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The old snapshot of an empty store: its capacity and no entries.
+	if err := gob.NewEncoder(f).Encode(struct{ Capacity int64 }{1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	code := make(chan int, 1)
+	go func() { code <- Run([]string{"-addr", "127.0.0.1:0", "-capacity", "1MB", "-data", dir}) }()
+	select {
+	case c := <-code:
+		if c != 1 {
+			t.Fatalf("Run on a meta.gob directory exited %d; want 1", c)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run opened a meta.gob directory instead of refusing it")
+	}
+	if c := Run([]string{"-store", "log"}); c != 2 {
+		t.Fatalf("Run -store exited %d; want 2 (unknown flag)", c)
 	}
 }
 

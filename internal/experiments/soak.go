@@ -319,15 +319,6 @@ func (r *SoakResult) FaultLookupRate() float64 {
 	return float64(r.FaultLookupsOK) / float64(r.FaultLookups)
 }
 
-// FaultInsertRate returns the fraction of fault-phase inserts that
-// succeeded (1 when none were issued).
-func (r *SoakResult) FaultInsertRate() float64 {
-	if r.FaultInserts == 0 {
-		return 1
-	}
-	return float64(r.FaultInsertsOK) / float64(r.FaultInserts)
-}
-
 // RunSoak builds a cluster over the fault injector, inserts a
 // population of files, executes the fault schedule with one maintenance
 // round per tick, heals, and checks the invariants: durability at every

@@ -1,10 +1,8 @@
 // Package logstore implements a log-structured, concurrent-safe
 // store.Backend: replica contents live in append-only segment files,
 // metadata mutations append compact records to a write-ahead log, and
-// periodic checkpoints bound recovery time. This replaces the
-// snapshot-per-mutation DiskStore for durable deployments — an Add is
-// one segment append plus one WAL append instead of an O(n) metadata
-// rewrite.
+// periodic checkpoints bound recovery time. An Add is one segment
+// append plus one WAL append, never a rewrite of the metadata table.
 //
 // On-disk layout under the store directory (see DESIGN.md §10 for the
 // full format diagram and recovery algorithm):

@@ -24,7 +24,7 @@ const (
 	// at most the last interval.
 	SyncInterval
 	// SyncNever leaves flushing to the OS (still fsynced at checkpoint
-	// and clean Close). Matches DiskStore's durability, minus its cost.
+	// and clean Close).
 	SyncNever
 )
 
@@ -115,7 +115,7 @@ type shard struct {
 }
 
 // Store is the log-structured storage engine. It implements
-// store.Backend and, unlike the in-memory Store and DiskStore, is safe
+// store.Backend and, unlike the in-memory Store, is safe
 // for concurrent use: reads take only a shard read-lock and a segment
 // pread; mutations serialize on the log mutex but fsync outside it, so
 // a slow group commit never blocks readers.
@@ -474,7 +474,7 @@ func (s *Store) RemovePointer(f id.File) (store.Pointer, bool) {
 }
 
 // Entries returns all replica entries ordered by fileId (metadata only;
-// use Get for content, as with DiskStore).
+// use Get for content).
 func (s *Store) Entries() []store.Entry {
 	var out []store.Entry
 	for i := range s.shards {

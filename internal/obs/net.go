@@ -29,9 +29,6 @@ func InstrumentNet(inner netsim.Net, stats *NodeStats) netsim.Net {
 	return &InstrumentedNet{inner: inner, stats: stats}
 }
 
-// Inner returns the wrapped network.
-func (n *InstrumentedNet) Inner() netsim.Net { return n.inner }
-
 // Invoke delivers through the wrapped network, timing the exchange.
 func (n *InstrumentedNet) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error) {
 	n.stats.MsgsOut.Add(1)

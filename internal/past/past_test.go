@@ -28,6 +28,17 @@ func testCluster(t testing.TB, n int, cfg Config, capacity int64, seed int64) *C
 	return c
 }
 
+// TestClusterBuildsThroughSmallRingJoins: a 60-node build at l=32 with
+// seed 68 (the Figure 8 caching set-up) joins its 17th and 18th nodes
+// while both leaf-set sides still share members. Those joins must not
+// route in a loop until the hop limit.
+func TestClusterBuildsThroughSmallRingJoins(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Pastry = pastry.Config{B: 4, L: 32}
+	cfg.K = 5
+	testCluster(t, 60, cfg, 1<<30, 68)
+}
+
 // newCard issues a smartcard with the given quota from a throwaway
 // issuer.
 func newCard(t *testing.T, quota int64) (*cert.Issuer, *cert.Smartcard) {

@@ -1,6 +1,7 @@
 package pastry
 
 import (
+	"slices"
 	"sort"
 
 	"past/internal/id"
@@ -126,12 +127,21 @@ func (n *Node) LeafSides() (lo, hi []id.Node) {
 // inLeafRangeLocked reports whether key lies within the span of the leaf
 // set (from the farthest counter-clockwise member, through this node, to
 // the farthest clockwise member). When a side is not full the node knows
-// the whole ring on that side, so the answer is true. Caller holds n.mu.
+// the whole ring on that side, so the answer is true. When the two sides
+// share a member they meet around the ring (l/2+1 <= N <= l+1 nodes), so
+// the span is the whole ring too; the arc from the farthest
+// counter-clockwise to the farthest clockwise member would then cut out
+// this node's own neighbourhood. Caller holds n.mu.
 func (n *Node) inLeafRangeLocked(key id.Node) bool {
 	loFull := len(n.leafLo) >= n.cfg.L/2
 	hiFull := len(n.leafHi) >= n.cfg.L/2
 	if !loFull || !hiFull {
 		return true
+	}
+	for _, m := range n.leafLo {
+		if slices.Contains(n.leafHi, m) {
+			return true
+		}
 	}
 	lo := n.leafLo[len(n.leafLo)-1]
 	hi := n.leafHi[len(n.leafHi)-1]
@@ -157,14 +167,6 @@ func (n *Node) closestLeafAvoidingLocked(key id.Node, excluded func(id.Node) boo
 		}
 	}
 	return best
-}
-
-// InLeafRange reports whether key lies within the span of this node's
-// leaf set.
-func (n *Node) InLeafRange(key id.Node) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inLeafRangeLocked(key)
 }
 
 // IsAmongKClosest reports whether this node is, to its knowledge, among

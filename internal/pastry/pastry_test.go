@@ -154,6 +154,31 @@ func TestLeafSetMatchesGroundTruth(t *testing.T) {
 	}
 }
 
+// TestLeafRangeCoversRingWhenSidesShareMembers: with 17 nodes at l=32
+// both leaf-set sides are full and hold every other node, so the leaf set
+// spans the whole ring and every key is in range — including the keys
+// next to the node itself, which the arc between the two farthest
+// members leaves out.
+func TestLeafRangeCoversRingWhenSidesShareMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	n := New(randKey(rng), netsim.New(), Config{B: 4, L: 32}, nil, 1)
+	for i := 0; i < 16; i++ {
+		n.leafInsertLocked(randKey(rng))
+	}
+	if len(n.leafLo) != 16 || len(n.leafHi) != 16 {
+		t.Fatalf("leaf sides %d/%d; want both full at 16", len(n.leafLo), len(n.leafHi))
+	}
+	probes := []id.Node{n.self, n.leafLo[0], n.leafHi[0]}
+	for i := 0; i < 1000; i++ {
+		probes = append(probes, randKey(rng))
+	}
+	for _, key := range probes {
+		if !n.inLeafRangeLocked(key) {
+			t.Fatalf("key %s out of leaf range on a 17-node ring", key.Short())
+		}
+	}
+}
+
 func ringSuccessors(sorted []id.Node, from id.Node, k int) []id.Node {
 	idx := indexOf(sorted, from)
 	var out []id.Node

@@ -3,11 +3,12 @@ package store
 import "past/internal/id"
 
 // Backend is the storage interface a PAST node drives. The in-memory
-// Store is the default (and what the trace experiments use); DiskStore
-// persists replica contents and file-table metadata under a directory
-// so a node's disk survives process restarts, which is what the paper's
-// recovery path assumes ("a recovering node ... whose disk contents
-// were lost" being the exceptional case).
+// Store is the default (and what the trace experiments use); the log
+// store (internal/logstore) persists replica contents and file-table
+// metadata under a directory so a node's disk survives process
+// restarts, which is what the paper's recovery path assumes ("a
+// recovering node ... whose disk contents were lost" being the
+// exceptional case).
 type Backend interface {
 	// Capacity returns the advertised capacity in bytes.
 	Capacity() int64

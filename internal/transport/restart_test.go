@@ -92,7 +92,7 @@ func TestInvokeAddrStaleConnAcrossRestart(t *testing.T) {
 		t.Fatalf("first InvokeAddr: %v", err)
 	}
 	ct.mu.Lock()
-	pooled := len(ct.idleAddr[srv.addr])
+	pooled := len(ct.idle[srv.addr])
 	ct.mu.Unlock()
 	if pooled != 1 {
 		t.Fatalf("pooled %d addr connections; want 1", pooled)
@@ -111,7 +111,7 @@ func TestInvokeAddrStaleConnAcrossRestart(t *testing.T) {
 		t.Fatalf("unexpected reply %T", reply)
 	}
 	ct.mu.Lock()
-	pooled = len(ct.idleAddr[srv.addr])
+	pooled = len(ct.idle[srv.addr])
 	ct.mu.Unlock()
 	if pooled != 1 {
 		t.Fatalf("pool holds %d addr connections after retry; want only the fresh one", pooled)

@@ -48,30 +48,25 @@ func deliver(ep netsim.Endpoint, req *wire.Request) (any, error) {
 	return ep.Deliver(req.Src, req.Msg)
 }
 
-// DefaultDialTimeout bounds connection establishment unless the
-// instance overrides it with SetDialTimeout; a node that cannot be
+// dialTimeout bounds connection establishment; a node that cannot be
 // dialed is reported down, which is how Pastry detects failures.
-const DefaultDialTimeout = 2 * time.Second
+const dialTimeout = 2 * time.Second
 
-// DialTimeout is the historical name of the package default.
-const DialTimeout = DefaultDialTimeout
+// maxIdlePerAddr caps the pooled idle connections kept per address.
+const maxIdlePerAddr = 2
 
 // TCP is a transport endpoint: client side (netsim.Net) plus server.
 type TCP struct {
 	self id.Node
 	addr string // listen address, rewritten to the bound address
 
-	mu          sync.Mutex
-	dialTimeout time.Duration
-	dir         map[id.Node]wire.DirEntry
-	idle        map[id.Node][]*conn
-	idleAddr    map[string][]*conn
-	serving     map[net.Conn]struct{}
-	ep          netsim.Endpoint
-	ln          net.Listener
-	wg          sync.WaitGroup
-	done        chan struct{}
-	once        sync.Once
+	mu      sync.Mutex
+	dir     map[id.Node]wire.DirEntry
+	idle    map[string][]*conn // pooled client connections by address
+	serving map[net.Conn]struct{}
+	ep      netsim.Endpoint
+	ln      net.Listener
+	wg      sync.WaitGroup
 }
 
 var _ netsim.Net = (*TCP)(nil)
@@ -90,15 +85,12 @@ func New(self id.Node, addr string, pos topology.Point) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	t := &TCP{
-		self:        self,
-		addr:        ln.Addr().String(),
-		dialTimeout: DefaultDialTimeout,
-		dir:         make(map[id.Node]wire.DirEntry),
-		idle:        make(map[id.Node][]*conn),
-		idleAddr:    make(map[string][]*conn),
-		serving:     make(map[net.Conn]struct{}),
-		ln:          ln,
-		done:        make(chan struct{}),
+		self:    self,
+		addr:    ln.Addr().String(),
+		dir:     make(map[id.Node]wire.DirEntry),
+		idle:    make(map[string][]*conn),
+		serving: make(map[net.Conn]struct{}),
+		ln:      ln,
 	}
 	t.dir[self] = wire.DirEntry{ID: self, Addr: t.addr, X: pos.X, Y: pos.Y}
 	return t, nil
@@ -106,25 +98,6 @@ func New(self id.Node, addr string, pos topology.Point) (*TCP, error) {
 
 // Addr returns the bound listen address.
 func (t *TCP) Addr() string { return t.addr }
-
-// SetDialTimeout overrides this instance's connection-establishment
-// bound (the failure-detection horizon). It applies to future dials;
-// zero or negative restores the package default.
-func (t *TCP) SetDialTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultDialTimeout
-	}
-	t.mu.Lock()
-	t.dialTimeout = d
-	t.mu.Unlock()
-}
-
-// dialTimeoutNow returns the instance's current dial timeout.
-func (t *TCP) dialTimeoutNow() time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dialTimeout
-}
 
 // Serve installs the local endpoint and starts accepting connections.
 func (t *TCP) Serve(ep netsim.Endpoint) {
@@ -137,7 +110,6 @@ func (t *TCP) Serve(ep netsim.Endpoint) {
 
 // Close stops the server and closes pooled connections.
 func (t *TCP) Close() error {
-	t.once.Do(func() { close(t.done) })
 	err := t.ln.Close()
 	t.mu.Lock()
 	for _, cs := range t.idle {
@@ -145,13 +117,7 @@ func (t *TCP) Close() error {
 			c.c.Close()
 		}
 	}
-	t.idle = make(map[id.Node][]*conn)
-	for _, cs := range t.idleAddr {
-		for _, c := range cs {
-			c.c.Close()
-		}
-	}
-	t.idleAddr = make(map[string][]*conn)
+	t.idle = make(map[string][]*conn)
 	for c := range t.serving {
 		c.Close()
 	}
@@ -165,11 +131,6 @@ func (t *TCP) acceptLoop() {
 	for {
 		c, err := t.ln.Accept()
 		if err != nil {
-			select {
-			case <-t.done:
-				return
-			default:
-			}
 			return
 		}
 		t.wg.Add(1)
@@ -283,7 +244,7 @@ func (t *TCP) Invoke(ctx context.Context, src, dst id.Node, msg any) (any, error
 		}
 		return deliver(ep, req)
 	}
-	resp, err := t.call(ctx, dst, e.Addr, req)
+	resp, err := t.call(ctx, e.Addr, req)
 	if err != nil {
 		if ctxErr := netsim.CtxErr(ctx); ctxErr != nil {
 			return nil, ctxErr
@@ -343,66 +304,26 @@ func (t *TCP) InvokeAddrContext(ctx context.Context, addr string, msg any) (any,
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		req.TC = tc
 	}
-	c, pooled, err := t.getAddrConn(ctx, addr)
+	resp, err := t.call(ctx, addr, req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := roundTrip(ctx, c, req)
-	if err != nil {
-		c.c.Close()
-		if !pooled {
-			return nil, err
-		}
-		if c, err = t.dial(ctx, addr); err != nil {
-			return nil, err
-		}
-		if resp, err = roundTrip(ctx, c, req); err != nil {
-			c.c.Close()
-			return nil, err
-		}
-	}
-	t.putAddrConn(addr, c)
 	if resp.Err != "" {
 		return nil, rehydrateErr(resp.Err)
 	}
 	return resp.Msg, nil
 }
 
-// getAddrConn returns an idle pooled connection to addr if one exists
-// (pooled = true), else a fresh dial.
-func (t *TCP) getAddrConn(ctx context.Context, addr string) (*conn, bool, error) {
-	t.mu.Lock()
-	if cs := t.idleAddr[addr]; len(cs) > 0 {
-		c := cs[len(cs)-1]
-		t.idleAddr[addr] = cs[:len(cs)-1]
-		t.mu.Unlock()
-		return c, true, nil
-	}
-	t.mu.Unlock()
-	c, err := t.dial(ctx, addr)
-	return c, false, err
-}
-
-func (t *TCP) putAddrConn(addr string, c *conn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.idleAddr[addr]) >= 2 {
-		c.c.Close()
-		return
-	}
-	t.idleAddr[addr] = append(t.idleAddr[addr], c)
-}
-
-// call performs one request/response on a pooled connection; a busy
-// pool dials a fresh connection, so re-entrant RPC chains (A->B->A->B)
-// cannot deadlock. A connection that fails mid-exchange (including a
-// half-written response) is closed, never returned to the pool. If the
-// failed connection came FROM the pool it may simply have gone stale
-// while idle (peer restart, half-closed socket), so the request is
-// retried once on a fresh dial before the destination is declared
-// dead — a fresh-dial failure is authoritative.
-func (t *TCP) call(ctx context.Context, dst id.Node, addr string, req *wire.Request) (*wire.Response, error) {
-	c, pooled, err := t.getConn(ctx, dst, addr)
+// call performs one request/response on a connection pooled per
+// address; a busy pool dials a fresh connection, so re-entrant RPC
+// chains (A->B->A->B) cannot deadlock. A connection that fails
+// mid-exchange (including a half-written response) is closed, never
+// returned to the pool. If the failed connection came FROM the pool it
+// may simply have gone stale while idle (peer restart, half-closed
+// socket), so the request is retried once on a fresh dial unless the
+// context has expired — a fresh-dial failure is authoritative.
+func (t *TCP) call(ctx context.Context, addr string, req *wire.Request) (*wire.Response, error) {
+	c, pooled, err := t.getConn(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +341,7 @@ func (t *TCP) call(ctx context.Context, dst id.Node, addr string, req *wire.Requ
 			return nil, err
 		}
 	}
-	t.putConn(dst, c)
+	t.putConn(addr, c)
 	return resp, nil
 }
 
@@ -449,13 +370,13 @@ func roundTrip(ctx context.Context, c *conn, req *wire.Request) (*wire.Response,
 	return resp, nil
 }
 
-// getConn returns an idle pooled connection if one exists (pooled =
-// true), else a fresh dial.
-func (t *TCP) getConn(ctx context.Context, dst id.Node, addr string) (*conn, bool, error) {
+// getConn returns an idle pooled connection to addr if one exists
+// (pooled = true), else a fresh dial.
+func (t *TCP) getConn(ctx context.Context, addr string) (*conn, bool, error) {
 	t.mu.Lock()
-	if cs := t.idle[dst]; len(cs) > 0 {
+	if cs := t.idle[addr]; len(cs) > 0 {
 		c := cs[len(cs)-1]
-		t.idle[dst] = cs[:len(cs)-1]
+		t.idle[addr] = cs[:len(cs)-1]
 		t.mu.Unlock()
 		return c, true, nil
 	}
@@ -465,7 +386,7 @@ func (t *TCP) getConn(ctx context.Context, dst id.Node, addr string) (*conn, boo
 }
 
 func (t *TCP) dial(ctx context.Context, addr string) (*conn, error) {
-	d := net.Dialer{Timeout: t.dialTimeoutNow()}
+	d := net.Dialer{Timeout: dialTimeout}
 	c, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, err
@@ -473,14 +394,14 @@ func (t *TCP) dial(ctx context.Context, addr string) (*conn, error) {
 	return &conn{c: c, codec: wire.NewCodec(c)}, nil
 }
 
-func (t *TCP) putConn(dst id.Node, c *conn) {
+func (t *TCP) putConn(addr string, c *conn) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.idle[dst]) >= 2 {
+	if len(t.idle[addr]) >= maxIdlePerAddr {
 		c.c.Close()
 		return
 	}
-	t.idle[dst] = append(t.idle[dst], c)
+	t.idle[addr] = append(t.idle[addr], c)
 }
 
 // Alive reports whether dst is reachable right now, by probing the
@@ -495,7 +416,7 @@ func (t *TCP) Alive(dst id.Node) bool {
 	if !ok {
 		return false
 	}
-	c, err := net.DialTimeout("tcp", e.Addr, t.dialTimeoutNow())
+	c, err := net.DialTimeout("tcp", e.Addr, dialTimeout)
 	if err != nil {
 		return false
 	}

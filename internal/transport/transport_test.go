@@ -359,7 +359,7 @@ func TestConnectionPoolReuse(t *testing.T) {
 		}
 	}
 	a.t.mu.Lock()
-	pooled := len(a.t.idle[b.node.ID()])
+	pooled := len(a.t.idle[b.t.Addr()])
 	a.t.mu.Unlock()
 	if pooled == 0 || pooled > 2 {
 		t.Fatalf("pool size %d; want 1..2", pooled)
@@ -477,7 +477,7 @@ func TestStalePooledConnRetriesOnFreshDial(t *testing.T) {
 		t.Fatalf("first invoke: %v", err)
 	}
 	ct.mu.Lock()
-	pooled := len(ct.idle[sid])
+	pooled := len(ct.idle[s.ln.Addr().String()])
 	ct.mu.Unlock()
 	if pooled != 1 {
 		t.Fatalf("pooled %d connections; want 1", pooled)
@@ -492,7 +492,7 @@ func TestStalePooledConnRetriesOnFreshDial(t *testing.T) {
 	// The poisoned connection must not have been re-pooled; only the
 	// fresh one may remain.
 	ct.mu.Lock()
-	pooled = len(ct.idle[sid])
+	pooled = len(ct.idle[s.ln.Addr().String()])
 	ct.mu.Unlock()
 	if pooled != 1 {
 		t.Fatalf("pool holds %d connections after retry; want 1", pooled)
@@ -512,7 +512,7 @@ func TestHalfWrittenResponseOnFreshConnFails(t *testing.T) {
 		t.Fatalf("server saw %d connections; want 1 (no retry for fresh conns)", got)
 	}
 	ct.mu.Lock()
-	pooled := len(ct.idle[sid])
+	pooled := len(ct.idle[s.ln.Addr().String()])
 	ct.mu.Unlock()
 	if pooled != 0 {
 		t.Fatalf("broken connection was pooled (%d)", pooled)
@@ -536,10 +536,28 @@ func TestStaleConnRetryAlsoFailingSurfacesError(t *testing.T) {
 		t.Fatalf("server saw %d connections; want 2 (pooled + exactly one retry)", got)
 	}
 	ct.mu.Lock()
-	pooled := len(ct.idle[sid])
+	pooled := len(ct.idle[s.ln.Addr().String()])
 	ct.mu.Unlock()
 	if pooled != 0 {
 		t.Fatalf("broken connection was pooled (%d)", pooled)
+	}
+}
+
+func TestInvokeAndInvokeAddrShareOnePool(t *testing.T) {
+	// Invoke by node id and InvokeAddr by that node's address draw on
+	// the same per-address pool: the second call reuses the connection
+	// the first one pooled.
+	s := newFaultyServer(t, []string{"echo"})
+	ct, sid := dialFaulty(t, s)
+
+	if _, err := ct.Invoke(context.Background(), ct.self, sid, &pastry.Ping{}); err != nil {
+		t.Fatalf("invoke: %v", err)
+	}
+	if _, err := ct.InvokeAddr(s.ln.Addr().String(), &pastry.Ping{}); err != nil {
+		t.Fatalf("invoke addr: %v", err)
+	}
+	if got := s.accepts.Load(); got != 1 {
+		t.Fatalf("server saw %d connections; want 1 (one shared pooled conn)", got)
 	}
 }
 
